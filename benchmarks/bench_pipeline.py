@@ -17,27 +17,26 @@ as a script::
 
 The script measures the resilience machinery's cold-path overhead
 (pipeline batch vs a raw ``invariant()`` loop), the per-task dispatch
-cost of the zero-copy shared-memory path against the JSON-pickle seed
-path (both as a codec round trip and end-to-end through the real
-process pool), and, with ``--chaos``, sweeps seeded fault schedules
-(:meth:`repro.faults.FaultPlan.seeded`) through the pipeline asserting
-that every non-failed key's invariant is bit-identical to the
-fault-free reference and that a fresh pipeline over the (possibly
-corrupted) disk cache heals to correct answers.  The full run writes
+cost of RAI1 bytes against the JSON codec (each through one pickle
+round trip, as the pool pipe carries them), and, with ``--chaos``,
+sweeps seeded worker-fault schedules
+(:meth:`repro.faults.FaultPlan.seeded` over ``WORKER_POINTS``) through
+the pipeline asserting that every non-failed key's invariant is
+bit-identical to the fault-free reference.  The full run writes
 ``BENCH_pipeline.json`` at the repo root.
 """
 
 import argparse
 import json
 import os
-import tempfile
+import pickle
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.datasets import mixed_corpus
-from repro.faults import FaultPlan, inject
+from repro.faults import WORKER_POINTS, FaultPlan, inject
 from repro.invariant import (
     canonical_hash,
     instance_key,
@@ -51,7 +50,6 @@ from repro.io import (
     instance_to_json,
 )
 from repro.pipeline import InvariantPipeline, RetryPolicy
-from repro.pipeline.shm import ShmBatch
 
 CORPUS_N = 100
 SEED = 1
@@ -59,7 +57,7 @@ CHAOS_SEEDS = 6
 CHAOS_FAULTS_PER_SEED = 6
 OVERHEAD_CEILING = 0.05  # resilient cold path within 5% of a raw loop
 TRACING_OFF_CEILING = 0.02  # uninstalled tracing within 2% of a batch
-DISPATCH_DROP_FLOOR = 2.0  # arrays round trip >= 2x cheaper than JSON
+DISPATCH_DROP_FLOOR = 2.0  # RAI1 round trip >= 2x cheaper than JSON
 
 
 def _corpus():
@@ -187,18 +185,15 @@ def measure_overhead(corpus, rounds=3):
 
 
 def measure_dispatch(corpus, rounds=3):
-    """Per-task dispatch cost: zero-copy arrays vs the JSON seed path.
+    """Per-task dispatch cost: RAI1 bytes vs the JSON codec.
 
     Both sides measure the full round trip a process-pool task pays for
-    its payload — encode in the parent, stage for transfer, decode in
-    the worker.  The JSON path is ``instance_to_json`` →
-    ``instance_from_json`` (the string itself is pickled through the
-    pool pipe); the arrays path is ``instance_to_buffer`` → one
-    ``ShmBatch`` segment for the whole batch → ``instance_from_buffer``
-    on a zero-copy shared-memory window (only a ``(name, offset, size)``
-    descriptor crosses the pipe).  Instances the columnar codec cannot
-    carry (non-closed-form regions) are excluded — the pipeline falls
-    back to JSON for those per instance.
+    its payload — encode in the parent, one pickle round trip (what the
+    pool's call pipe does to the task tuple), decode in the worker.
+    The JSON path is ``instance_to_json`` → ``instance_from_json``; the
+    RAI1 path is ``instance_to_buffer`` → ``instance_from_buffer``.
+    Instances the RAI1 codec cannot carry (non-closed-form regions) are
+    excluded — the pipeline falls back to JSON for those per instance.
     """
     encodable = [
         inst for inst in corpus if instance_to_buffer(inst) is not None
@@ -207,86 +202,56 @@ def measure_dispatch(corpus, rounds=3):
     json_payload = sum(
         len(instance_to_json(inst).encode("utf-8")) for inst in encodable
     )
-    arrays_payload = sum(
-        len(instance_to_buffer(inst)) for inst in encodable
-    )
+    rai1_payload = sum(len(instance_to_buffer(inst)) for inst in encodable)
 
-    json_s = arrays_s = float("inf")
+    def through_pipe(payload):
+        return pickle.loads(pickle.dumps(payload))
+
+    json_s = rai1_s = float("inf")
     for _ in range(rounds):
         t0 = time.perf_counter()
         decoded_json = [
-            instance_from_json(instance_to_json(inst))
+            instance_from_json(through_pipe(instance_to_json(inst)))
             for inst in encodable
         ]
         json_s = min(json_s, time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        blobs = {
-            str(i): instance_to_buffer(inst)
-            for i, inst in enumerate(encodable)
-        }
-        with ShmBatch.create(blobs) as batch:
-            decoded_arrays = []
-            for i in range(n):
-                _name, off, size = batch.descriptor(str(i))
-                decoded_arrays.append(
-                    instance_from_buffer(batch.shm.buf[off : off + size])
-                )
-        arrays_s = min(arrays_s, time.perf_counter() - t0)
+        decoded_rai1 = [
+            instance_from_buffer(through_pipe(instance_to_buffer(inst)))
+            for inst in encodable
+        ]
+        rai1_s = min(rai1_s, time.perf_counter() - t0)
     keys = [instance_key(inst) for inst in encodable]
     assert [instance_key(inst) for inst in decoded_json] == keys
-    assert [instance_key(inst) for inst in decoded_arrays] == keys
+    assert [instance_key(inst) for inst in decoded_rai1] == keys
     return {
         "tasks": n,
         "excluded_json_fallbacks": len(corpus) - n,
         "json_payload_bytes": json_payload,
-        "arrays_payload_bytes": arrays_payload,
+        "rai1_payload_bytes": rai1_payload,
         "json_seconds_per_task": json_s / n,
-        "arrays_seconds_per_task": arrays_s / n,
-        "per_task_overhead_drop": json_s / arrays_s,
+        "rai1_seconds_per_task": rai1_s / n,
+        "per_task_overhead_drop": json_s / rai1_s,
     }
 
 
-def measure_dispatch_end_to_end(corpus, workers=4):
-    """Cold process-pool batches, arrays vs JSON dispatch.  Compute
-    dominates both wall times, so this records the end-to-end effect
-    without asserting on it — the codec-level drop is the stable
-    number."""
-    times = {}
-    hashes = {}
-    for dispatch in ("arrays", "json"):
-        with InvariantPipeline(
-            backend="processes", workers=workers, dispatch=dispatch
-        ) as pipe:
-            result, seconds = _timed(lambda: pipe.compute_batch(corpus))
-        times[dispatch] = seconds
-        hashes[dispatch] = [canonical_hash(t) for t in result]
-    assert hashes["arrays"] == hashes["json"], (
-        "arrays dispatch changed results"
-    )
-    return {
-        "workers": workers,
-        "arrays_batch_seconds": times["arrays"],
-        "json_batch_seconds": times["json"],
-    }
-
-
-def test_arrays_dispatch_cheaper_per_task():
-    """Acceptance: the shared-memory columnar dispatch costs at least
-    2x less per task than the JSON seed path, at a smaller payload."""
+def test_rai1_dispatch_cheaper_per_task():
+    """Acceptance: shipping RAI1 bytes costs at least 2x less per task
+    than the JSON codec, at a smaller payload."""
     corpus = mixed_corpus(48, seed=SEED)
     row = measure_dispatch(corpus)
     print(
         f"\ndispatch round trip over {row['tasks']} tasks: "
         f"json {row['json_seconds_per_task'] * 1e6:.0f}us/task "
-        f"({row['json_payload_bytes']}B), arrays "
-        f"{row['arrays_seconds_per_task'] * 1e6:.0f}us/task "
-        f"({row['arrays_payload_bytes']}B) -> "
+        f"({row['json_payload_bytes']}B), rai1 "
+        f"{row['rai1_seconds_per_task'] * 1e6:.0f}us/task "
+        f"({row['rai1_payload_bytes']}B) -> "
         f"{row['per_task_overhead_drop']:.1f}x drop"
     )
     assert row["tasks"] > 0
     assert row["per_task_overhead_drop"] >= DISPATCH_DROP_FLOOR, (
-        f"arrays dispatch only {row['per_task_overhead_drop']:.2f}x "
+        f"RAI1 dispatch only {row['per_task_overhead_drop']:.2f}x "
         f"cheaper per task (floor {DISPATCH_DROP_FLOOR}x)"
     )
 
@@ -378,11 +343,10 @@ def test_traced_batch_exports_worker_spans(bench, tmp_path):
 
 
 def run_chaos(corpus, seeds, hang_seconds=0.02):
-    """The chaos sweep: for each seed, a pseudo-random fault schedule is
-    injected into a threaded pipeline over a disk cache; every ok
-    outcome must be bit-identical to the fault-free reference, every
-    failure must be a structured ComputeError, and a fresh pipeline over
-    the same disk directory must heal any injected corruption."""
+    """The chaos sweep: for each seed, a pseudo-random schedule of
+    worker faults (crashes, hangs, raises) is injected into a threaded
+    pipeline; every ok outcome must be bit-identical to the fault-free
+    reference and every failure must be a structured ComputeError."""
     from repro.errors import ComputeError
 
     keys = [instance_key(inst) for inst in corpus]
@@ -395,42 +359,28 @@ def run_chaos(corpus, seeds, hang_seconds=0.02):
         plan = FaultPlan.seeded(
             seed,
             keys,
+            points=WORKER_POINTS,
             faults=CHAOS_FAULTS_PER_SEED,
             max_times=2,
             hang_seconds=hang_seconds,
         )
-        with tempfile.TemporaryDirectory() as disk:
-            with InvariantPipeline(
-                backend="threads",
-                workers=4,
-                disk_cache_dir=disk,
-                retry=RetryPolicy(
-                    max_attempts=3, backoff_base=0.005, seed=seed
-                ),
-                task_timeout=5.0,
-            ) as pipe:
-                with inject(plan):
-                    result = pipe.compute_batch(corpus, on_error="collect")
-                wrong = sum(
-                    1
-                    for out in result
-                    if out.ok
-                    and canonical_hash(out.value) != reference[out.key]
-                )
-                assert wrong == 0, (
-                    f"seed {seed}: {wrong} bit-different invariants"
-                )
-                for out in result.failures():
-                    assert isinstance(out.error, ComputeError)
-                    assert out.error.key == out.key
-            # Healing: integrity checking turns any injected disk
-            # corruption into recomputation, never into a wrong answer.
-            with InvariantPipeline(disk_cache_dir=disk) as fresh:
-                healed = fresh.compute_batch(corpus)
-                assert [canonical_hash(t) for t in healed] == [
-                    reference[k] for k in keys
-                ], f"seed {seed}: corrupted cache produced wrong invariants"
-                quarantined = fresh.cache.quarantined
+        with InvariantPipeline(
+            backend="threads",
+            workers=4,
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.005, seed=seed),
+            task_timeout=5.0,
+        ) as pipe:
+            with inject(plan):
+                result = pipe.compute_batch(corpus, on_error="collect")
+        wrong = sum(
+            1
+            for out in result
+            if out.ok and canonical_hash(out.value) != reference[out.key]
+        )
+        assert wrong == 0, f"seed {seed}: {wrong} bit-different invariants"
+        for out in result.failures():
+            assert isinstance(out.error, ComputeError)
+            assert out.error.key == out.key
         rows.append(
             {
                 "seed": seed,
@@ -438,15 +388,14 @@ def run_chaos(corpus, seeds, hang_seconds=0.02):
                 "failed_keys": len(result.failures()),
                 "retries": pipe.stats.retries,
                 "timeouts": pipe.stats.timeouts,
-                "quarantined_on_heal": quarantined,
             }
         )
     return rows
 
 
 def test_chaos_sweep_is_correct_or_structured(bench):
-    """Acceptance: seeded fault schedules never produce a wrong
-    invariant, and the disk cache heals after corruption."""
+    """Acceptance: seeded worker-fault schedules never produce a wrong
+    invariant."""
     corpus = mixed_corpus(12, seed=3)
     rows = run_chaos(corpus, seeds=3)
     fired = sum(sum(r["fired"].values()) for r in rows)
@@ -519,24 +468,15 @@ def main(argv=None):
     print(
         f"dispatch round trip: json "
         f"{dispatch['json_seconds_per_task'] * 1e6:.0f}us/task "
-        f"({dispatch['json_payload_bytes']}B), arrays "
-        f"{dispatch['arrays_seconds_per_task'] * 1e6:.0f}us/task "
-        f"({dispatch['arrays_payload_bytes']}B): "
+        f"({dispatch['json_payload_bytes']}B), rai1 "
+        f"{dispatch['rai1_seconds_per_task'] * 1e6:.0f}us/task "
+        f"({dispatch['rai1_payload_bytes']}B): "
         f"{dispatch['per_task_overhead_drop']:.1f}x per-task drop "
         f"over {dispatch['tasks']} tasks"
     )
     assert dispatch["per_task_overhead_drop"] >= DISPATCH_DROP_FLOOR, (
-        f"arrays dispatch only {dispatch['per_task_overhead_drop']:.2f}x "
+        f"RAI1 dispatch only {dispatch['per_task_overhead_drop']:.2f}x "
         f"cheaper per task (floor {DISPATCH_DROP_FLOOR}x)"
-    )
-    dispatch_e2e = measure_dispatch_end_to_end(
-        mixed_corpus(24 if args.smoke else 48, seed=SEED)
-    )
-    print(
-        f"cold processes batch: arrays "
-        f"{dispatch_e2e['arrays_batch_seconds']:.3f}s vs json "
-        f"{dispatch_e2e['json_batch_seconds']:.3f}s "
-        f"({dispatch_e2e['workers']} workers), bit-identical results"
     )
 
     trace_row = export_trace(
@@ -555,7 +495,6 @@ def main(argv=None):
         "overhead": overhead,
         "overhead_ceiling": OVERHEAD_CEILING,
         "dispatch": dispatch,
-        "dispatch_end_to_end": dispatch_e2e,
         "dispatch_drop_floor": DISPATCH_DROP_FLOOR,
         "tracing_off": tracing_off,
         "tracing_off_ceiling": TRACING_OFF_CEILING,
@@ -568,6 +507,7 @@ def main(argv=None):
         rows = run_chaos(chaos_corpus, seeds=seeds)
         fired = sum(sum(r["fired"].values()) for r in rows)
         failed = sum(r["failed_keys"] for r in rows)
+        assert fired > 0, "seeded schedules fired nothing; chaos vacuous"
         print(
             f"chaos: {len(rows)} seeds, {fired} faults fired, "
             f"{failed} structured failures, 0 wrong invariants"

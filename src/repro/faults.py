@@ -4,8 +4,8 @@ Production code calls :func:`draw` at named *injection points*; with no
 plan installed the call is a dict lookup returning None, so the library
 pays nothing.  Tests (and ``bench_pipeline.py --chaos``) install a
 :class:`FaultPlan` with :func:`inject` — a scoped context manager — and
-the matching points then *fire*: a worker crashes, a task hangs, a disk
-cache entry is bit-flipped, and so on.
+the matching points then *fire*: a worker crashes, a task hangs, a
+store record is bit-flipped, and so on.
 
 Determinism is the whole point: a plan is an ordered list of
 :class:`Fault` specs (``fire this point, for this key, this many times,
@@ -29,12 +29,6 @@ Injection points
 ``invariant_raises``
     The invariant computation raises :class:`InjectedFailure` (a
     retryable error, modelling a transient task failure).
-``cache_bitflip``
-    A freshly written disk-cache entry has one byte corrupted on disk
-    (the read path must detect the checksum mismatch and quarantine).
-``encode_garbage``
-    The disk-cache encoder emits undecodable text (checksum *valid*,
-    payload rotten — the read path must quarantine on decode failure).
 ``store_torn_append``
     A segment-store append writes only a prefix of the record and dies
     (modelling a crash mid-append; reopening must truncate the torn
@@ -73,12 +67,10 @@ Injection points
     (modelling a torn pipe / socket reset).  Same obligations as a
     crash; the worker is reaped and respawned.
 
-All four new points live in :data:`STORE_POINTS` beside
-``store_torn_append`` for the same reason it does: seeded plans drawn
-from the default :data:`POINTS` set must stay bit-identical across
-releases.  The two shard points live in :data:`SHARD_POINTS`, same
-deal.  Plans over :data:`STORE_POINTS` gained new draws in the
-release that introduced these points and are versioned by that fact.
+The default :data:`POINTS` set is the three worker points.  The
+store points live in :data:`STORE_POINTS` and the two shard points in
+:data:`SHARD_POINTS`, so that adding a family never reshuffles the
+seeded schedules of another.
 
 The worker-side points are drawn by the *parent* at submit time — the
 decision ships with the task — so counting stays centralized and
@@ -104,7 +96,6 @@ from .instrument import add_counter_source
 __all__ = [
     "POINTS",
     "WORKER_POINTS",
-    "CACHE_POINTS",
     "STORE_POINTS",
     "Fault",
     "FaultPlan",
@@ -118,8 +109,7 @@ __all__ = [
 ]
 
 WORKER_POINTS = ("worker_crash", "worker_hang", "invariant_raises")
-CACHE_POINTS = ("cache_bitflip", "encode_garbage")
-POINTS = WORKER_POINTS + CACHE_POINTS
+POINTS = WORKER_POINTS
 # Kept out of POINTS: FaultPlan.seeded schedules drawn from the default
 # point set must stay bit-identical across releases.
 STORE_POINTS = (

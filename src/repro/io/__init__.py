@@ -3,8 +3,9 @@
 JSON (:mod:`.json_io`) is the interchange format — readable, generic,
 and lossless for every built-in region class.  The array codec
 (:mod:`.array_io`) flattens closed-form instances into one buffer whose
-coordinate block is a single int64 array, which the process-dispatch
-layer ships through shared memory without pickling.
+coordinate block is a single int64 array; the process backend ships
+these bytes to pool workers, and the segment store and shard wire
+protocol carry instances in it too.
 """
 
 from .array_io import instance_from_buffer, instance_to_buffer

@@ -1,4 +1,4 @@
-"""Columnar binary serialization of instances for zero-copy dispatch.
+"""Columnar binary serialization of instances (the RAI1 codec).
 
 The JSON codec (:mod:`repro.io.json_io`) spells every rational out as a
 ``"num/den"`` string inside a nested object — lossless, readable, and
@@ -15,8 +15,8 @@ The header JSON carries only the *shape* — sorted region names with a
 per-region spec (``["rect"]``, ``["rect_union", n]``, ``["poly", n]``)
 — and every rational coordinate lands in one little-endian int64
 ``(k, 2)`` array of ``(numerator, denominator)`` rows, in reading
-order.  Decoding is a single :func:`numpy.frombuffer` view (zero-copy
-when the buffer is a shared-memory window) plus ``Fraction``
+order.  Decoding is a single :func:`numpy.frombuffer` view over the
+buffer (no copy, whatever object holds the bytes) plus ``Fraction``
 construction; the exact values round-trip bit-for-bit because
 ``Fraction`` stores exactly the reduced ``num/den`` pair that was
 written.
@@ -119,8 +119,9 @@ def _take(arr: np.ndarray, pos: int, count: int) -> list[Fraction]:
 def instance_from_buffer(buf: bytes | memoryview) -> SpatialInstance:
     """Decode a buffer written by :func:`instance_to_buffer`.
 
-    Accepts a ``memoryview`` (e.g. a shared-memory window) and reads
-    the coordinate array in place without copying the buffer.
+    Accepts ``bytes`` or a ``memoryview`` (e.g. a window of an mmap'd
+    store segment) and reads the coordinate array in place without
+    copying the buffer.
     """
     view = memoryview(buf)
     if len(view) < 8:

@@ -43,7 +43,6 @@ hits/misses, atoms evaluated, candidates pruned) are exposed through
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -182,43 +181,6 @@ class CompiledUniverse:
         self.regions = regions
         self.named = named
         self.candidates_seen = candidates_seen
-
-
-def _encode_universe(u: CompiledUniverse) -> str:
-    return json.dumps(
-        {
-            "kind": "disc-region-universe",
-            "cell_ids": list(u.cell_ids),
-            "names": list(u.names),
-            "regions": [[hex(r.interior), hex(r.closure)] for r in u.regions],
-            "named": {
-                n: [hex(r.interior), hex(r.closure)]
-                for n, r in u.named.items()
-            },
-            "candidates_seen": u.candidates_seen,
-        }
-    )
-
-
-def _decode_universe(text: str) -> CompiledUniverse:
-    data = json.loads(text)
-    if data.get("kind") != "disc-region-universe":
-        raise ValueError("not a disc-region universe payload")
-    regions = [
-        CompiledRegion(int(i, 16), int(c, 16), idx)
-        for idx, (i, c) in enumerate(data["regions"])
-    ]
-    named = {
-        n: CompiledRegion(int(i, 16), int(c, 16), ("ext", n))
-        for n, (i, c) in data["named"].items()
-    }
-    return CompiledUniverse(
-        tuple(data["cell_ids"]),
-        tuple(data["names"]),
-        regions,
-        named,
-        int(data["candidates_seen"]),
-    )
 
 
 class CompiledCellModel:
@@ -565,16 +527,14 @@ _UNIVERSE_CACHE = None
 
 
 def universe_cache():
-    """The module-level content-addressed universe cache (an
-    :class:`~repro.pipeline.cache.InvariantCache` with the disc-region
-    universe codec), created lazily."""
+    """The module-level content-addressed universe cache (a
+    memory-only :class:`~repro.pipeline.cache.InvariantCache`), created
+    lazily."""
     global _UNIVERSE_CACHE
     if _UNIVERSE_CACHE is None:
         from ..pipeline.cache import InvariantCache
 
-        _UNIVERSE_CACHE = InvariantCache(
-            maxsize=64, encode=_encode_universe, decode=_decode_universe
-        )
+        _UNIVERSE_CACHE = InvariantCache(maxsize=64)
     return _UNIVERSE_CACHE
 
 

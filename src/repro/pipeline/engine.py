@@ -7,14 +7,13 @@ An :class:`InvariantPipeline` turns a corpus of
 * **content-addressed caching** — instances are keyed by
   :func:`~repro.invariant.canonical.instance_key` (a pure function of
   geometry), so repeated corpora, duplicated instances inside one batch,
-  and re-runs against a disk cache all skip recomputation;
+  and re-runs against a persistent segment store all skip
+  recomputation;
 * **parallel computation** — the cold misses of a batch are mapped over
   a worker pool (``serial`` / ``threads`` / ``processes``); the process
-  backend ships closed-form instances through a per-batch shared-memory
-  arena (:mod:`repro.pipeline.shm` — each task's pickled message is a
-  ``(name, offset, size)`` descriptor, the coordinates travel as one
-  int64 array read zero-copy in the worker) with a per-instance JSON
-  fallback for regions the array codec cannot carry (exact rationals
+  backend ships each closed-form instance through the pool pipe as its
+  RAI1 columnar bytes (:mod:`repro.io.array_io`), with a per-instance
+  JSON fallback for regions that codec cannot carry (exact rationals
   survive either trip), and is the backend that scales on multi-core
   machines, since invariant computation is pure Python and GIL-bound;
 * **hash-bucketed equivalence** — :meth:`equivalence_groups` buckets
@@ -72,11 +71,9 @@ __all__ = [
     "InvariantPipeline",
     "topologically_equivalent_batch",
     "BACKENDS",
-    "DISPATCH_MODES",
 ]
 
 BACKENDS = ("serial", "threads", "processes")
-DISPATCH_MODES = ("arrays", "json")
 
 
 def _teardown_process_pool(pool: ProcessPoolExecutor) -> None:
@@ -103,10 +100,9 @@ def _teardown_process_pool(pool: ProcessPoolExecutor) -> None:
 
 def _invariant_task(args: tuple):
     """Process-pool worker: ``(key, payload, drawn fault, trace?)`` in,
-    invariant JSON out.  The payload is either ``("json", text)`` or a
-    ``("shm", name, offset, size)`` descriptor of a window in the
-    batch's shared-memory arena (see :mod:`repro.pipeline.shm`), which
-    is decoded zero-copy in place.  The fault decision was drawn by the
+    invariant JSON out.  The payload is ``("bytes", rai1)`` — the
+    instance's RAI1 columnar encoding — or ``("json", text)`` for an
+    instance that codec cannot carry.  The fault decision was drawn by the
     parent at submit time (deterministic schedules survive the process
     hop).  When the parent is tracing, the spans recorded in this
     interpreter are captured and piggybacked on the result for
@@ -116,15 +112,10 @@ def _invariant_task(args: tuple):
 
     with tracing.capture(force=traced) as cap:
         faults.execute_in_worker(fault, key)
-        if payload[0] == "shm":
+        if payload[0] == "bytes":
             from ..io import instance_from_buffer
-            from .shm import read_task_payload
 
-            window = read_task_payload(*payload[1:])
-            try:
-                inst = instance_from_buffer(window)
-            finally:
-                window.release()
+            inst = instance_from_buffer(payload[1])
         else:
             from ..io import instance_from_json
 
@@ -146,13 +137,12 @@ class InvariantPipeline:
     cache:
         An :class:`InvariantCache` to share between pipelines, or None to
         create a private one.
-    cache_size / disk_cache_dir:
-        Configuration for the private cache when *cache* is None.
-    store / store_primary:
+    cache_size:
+        Memory-tier size of the private cache when *cache* is None.
+    store:
         A :class:`~repro.store.SegmentStore` to attach as the private
-        cache's persistent tier (behind the per-key files by default,
-        in front of them with ``store_primary=True``).  Ignored when an
-        explicit *cache* is passed — configure that cache directly.
+        cache's persistent tier.  Ignored when an explicit *cache* is
+        passed — configure that cache directly.
     retry:
         A :class:`~repro.pipeline.resilience.RetryPolicy`, or None for
         the default (3 attempts, capped exponential backoff with
@@ -166,14 +156,6 @@ class InvariantPipeline:
     max_pool_respawns:
         How many times a broken pool is respawned per batch before the
         remaining tasks degrade to the next backend in the chain.
-    dispatch:
-        How the process backend ships instances to workers:
-        ``"arrays"`` (default) packs closed-form instances into a
-        shared-memory arena and sends ``(name, offset, size)``
-        descriptors (instances the array codec cannot carry fall back
-        to JSON per instance); ``"json"`` forces the seed behaviour of
-        pickling a JSON string per task.  Results are identical either
-        way; only transfer cost differs.
     """
 
     def __init__(
@@ -182,24 +164,15 @@ class InvariantPipeline:
         workers: int | None = None,
         cache: InvariantCache | None = None,
         cache_size: int = 1024,
-        disk_cache_dir: str | os.PathLike | None = None,
         retry: RetryPolicy | None = None,
         task_timeout: float | None = None,
         max_pool_respawns: int = 2,
-        dispatch: str = "arrays",
         store=None,
-        store_primary: bool = False,
     ):
         if backend not in BACKENDS:
             raise PipelineError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
-        if dispatch not in DISPATCH_MODES:
-            raise PipelineError(
-                f"unknown dispatch {dispatch!r}; "
-                f"expected one of {DISPATCH_MODES}"
-            )
-        self.dispatch = dispatch
         self.backend = backend
         self.workers = workers or os.cpu_count() or 1
         # `cache or ...` would discard an injected empty cache (len 0 is
@@ -207,12 +180,7 @@ class InvariantPipeline:
         self.cache = (
             cache
             if cache is not None
-            else InvariantCache(
-                maxsize=cache_size,
-                disk_dir=disk_cache_dir,
-                store=store,
-                store_primary=store_primary,
-            )
+            else InvariantCache(maxsize=cache_size, store=store)
         )
         self.retry = retry if retry is not None else RetryPolicy()
         self.task_timeout = task_timeout
@@ -415,11 +383,9 @@ class InvariantPipeline:
                         else:
                             failures[key] = out
                     self.stats.count("invariants_computed", computed)
-                self.stats.set_gauge("disk_hits", self.cache.disk_hits)
                 self.stats.set_gauge("store_hits", self.cache.store_hits)
-                self.stats.set_gauge("quarantined", self.cache.quarantined)
                 self.stats.set_gauge(
-                    "disk_write_failures", self.cache.disk_write_failures
+                    "store_write_failures", self.cache.store_write_failures
                 )
         finally:
             self.stats.record_counters(
@@ -469,29 +435,23 @@ class InvariantPipeline:
                 ),
                 respawn=self._respawn_threads,
             )
-        shm_batch = None
         if "processes" in chain:
-            from ..io import instance_to_json, invariant_from_json
+            from ..io import (
+                instance_to_buffer,
+                instance_to_json,
+                invariant_from_json,
+            )
 
             payloads: dict[str, tuple] = {}
-            if self.dispatch == "arrays":
-                from ..io import instance_to_buffer
-                from .shm import ShmBatch
-
-                blobs: dict[str, bytes] = {}
-                for key, inst in misses.items():
-                    blob = instance_to_buffer(inst)
-                    if blob is not None:
-                        blobs[key] = blob
-                if blobs:
-                    shm_batch = ShmBatch.create(blobs)
-                    for key in blobs:
-                        payloads[key] = ("shm", *shm_batch.descriptor(key))
-                self.stats.count("dispatch_shm", len(blobs))
-            json_keys = [key for key in misses if key not in payloads]
-            self.stats.count("dispatch_json", len(json_keys))
-            for key in json_keys:
-                payloads[key] = ("json", instance_to_json(misses[key]))
+            for key, inst in misses.items():
+                blob = instance_to_buffer(inst)
+                if blob is not None:
+                    payloads[key] = ("bytes", blob)
+                else:
+                    # The RAI1 codec cannot carry it (curved regions,
+                    # huge rationals): ship exact JSON instead.
+                    payloads[key] = ("json", instance_to_json(inst))
+                    self.stats.count("dispatch_json")
             # Drawn in the parent at submit time, like the fault payload:
             # the worker interpreter cannot see the parent's tracer.
             traced = tracing.current_tracer() is not None
@@ -513,14 +473,7 @@ class InvariantPipeline:
             task_timeout=self.task_timeout,
             max_pool_respawns=self.max_pool_respawns,
         )
-        try:
-            return mapper.run(list(misses))
-        finally:
-            # Workers that already mapped the arena keep reading after
-            # the unlink; nothing retries a descriptor past this point
-            # because the mapper has fully drained the batch.
-            if shm_batch is not None:
-                shm_batch.close()
+        return mapper.run(list(misses))
 
     # -- equivalence --------------------------------------------------------
 

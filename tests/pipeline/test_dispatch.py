@@ -1,23 +1,19 @@
-"""Differential tests for the zero-copy process-dispatch path.
+"""Differential tests for the process-dispatch path.
 
-The ``arrays`` dispatch (shared-memory descriptors + columnar codec)
-must be invisible in results: bit-identical invariants to the ``json``
-dispatch on every corpus — including mixed corpora where some instances
-fall back to JSON per instance — with fault recovery intact and no
-``/dev/shm`` segments leaked, even when a batch fails.
+The process backend ships each closed-form instance through the pool
+pipe as RAI1 bytes and falls back to JSON per instance for regions that
+codec cannot carry.  Dispatch must be invisible in results: invariants
+bit-identical to the serial backend on every corpus — including mixed
+corpora where some instances take the JSON fallback — with fault
+recovery intact.
 """
-
-import os
 
 import pytest
 
-from repro import ComputeError, PipelineError, Rect, SpatialInstance
+from repro import Rect, SpatialInstance, invariant
 from repro.faults import Fault, FaultPlan, inject
 from repro.invariant import canonical_hash, instance_key
-from repro.io import instance_to_buffer
 from repro.pipeline import InvariantPipeline, RetryPolicy
-from repro.pipeline.engine import DISPATCH_MODES
-from repro.pipeline.shm import ShmBatch
 from repro.regions import AlgRegion
 
 
@@ -43,62 +39,45 @@ def _policy(**kw) -> RetryPolicy:
     return RetryPolicy(**kw)
 
 
-def _shm_entries() -> set[str]:
-    try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
-
-
-def _hashes(backend, corpus, dispatch, **kw):
-    with InvariantPipeline(
-        backend=backend, workers=2, dispatch=dispatch, **kw
-    ) as pipe:
+def _hashes(backend, corpus, **kw):
+    with InvariantPipeline(backend=backend, workers=2, **kw) as pipe:
         invs = pipe.compute_batch(corpus)
         stats = pipe.stats
     return [canonical_hash(t) for t in invs], stats
-
-
-class TestDispatchValidation:
-    def test_modes(self):
-        assert DISPATCH_MODES == ("arrays", "json")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(PipelineError):
-            InvariantPipeline(dispatch="pickle")
 
 
 @pytest.mark.slow
 class TestDifferential:
     def test_closed_form_corpus_bit_identical(self):
         corpus = _corpus(6)
-        got, stats = _hashes("processes", corpus, "arrays")
-        want, _ = _hashes("processes", corpus, "json")
+        got, stats = _hashes("processes", corpus)
+        want, _ = _hashes("serial", corpus)
         assert got == want
-        assert stats.dispatch_shm == 6
         assert stats.dispatch_json == 0
 
     def test_mixed_corpus_falls_back_per_instance(self):
         corpus = _mixed_corpus()
-        got, stats = _hashes("processes", corpus, "arrays")
-        want, _ = _hashes("processes", corpus, "json")
+        got, stats = _hashes("processes", corpus)
+        want, _ = _hashes("serial", corpus)
         assert got == want
-        assert stats.dispatch_shm == 3
+        # The two curved instances took the JSON fallback; the three
+        # closed-form ones went as RAI1 bytes.
         assert stats.dispatch_json == 2
 
     def test_serial_reference_agrees(self):
         corpus = _mixed_corpus()
-        got, _ = _hashes("processes", corpus, "arrays")
-        want, _ = _hashes("serial", corpus, "arrays")
-        assert got == want
+        got, _ = _hashes("processes", corpus)
+        # The plain paper computation, no pipeline or cache in between.
+        assert got == [canonical_hash(invariant(inst)) for inst in corpus]
 
 
 @pytest.mark.slow
 class TestFaultsOnArraysPath:
+    """Worker crashes while tasks travel as RAI1 array bytes."""
+
     def test_worker_crash_recovers(self):
         corpus = _corpus(6)
         key = instance_key(corpus[2])
-        before = _shm_entries()
         plan = FaultPlan(Fault("worker_crash", times=1, key=key))
         with InvariantPipeline(
             backend="processes", workers=2, retry=_policy()
@@ -107,62 +86,5 @@ class TestFaultsOnArraysPath:
                 invs = pipe.compute_batch(corpus)
         assert len(invs) == 6
         assert pipe.stats.pool_respawns == 1
-        assert _shm_entries() <= before
-
-    def test_persistent_failure_leaks_no_segments(self):
-        corpus = _corpus(4)
-        key = instance_key(corpus[1])
-        before = _shm_entries()
-        plan = FaultPlan(Fault("worker_crash", times=99, key=key))
-        with InvariantPipeline(
-            backend="processes", workers=2, retry=_policy()
-        ) as pipe:
-            with inject(plan):
-                res = pipe.compute_batch(corpus, on_error="collect")
-        assert [o.ok for o in res] == [True, False, True, True]
-        assert isinstance(res.failures()[0].error, ComputeError)
-        assert _shm_entries() <= before
-
-    def test_repeated_batches_leak_nothing(self):
-        before = _shm_entries()
-        with InvariantPipeline(backend="processes", workers=2) as pipe:
-            for size in (3, 5, 4):
-                pipe.compute_batch(_corpus(size))
-        assert _shm_entries() <= before
-
-
-class TestShmBatch:
-    def test_descriptors_recover_blobs(self):
-        blobs = {
-            "a": b"hello",
-            "b": b"x" * 1000,
-            "c": instance_to_buffer(_corpus(1)[0]),
-        }
-        before = _shm_entries()
-        batch = ShmBatch.create(blobs)
-        try:
-            for key, blob in blobs.items():
-                name, off, size = batch.descriptor(key)
-                assert name == batch.shm.name
-                assert size == len(blob)
-                assert bytes(batch.shm.buf[off : off + size]) == blob
-            # Windows are 8-byte aligned for in-place int64 views.
-            for key in blobs:
-                assert batch.descriptor(key)[1] % 8 == 0
-        finally:
-            batch.close()
-        assert _shm_entries() <= before
-
-    def test_close_is_idempotent(self):
-        before = _shm_entries()
-        batch = ShmBatch.create({"k": b"data"})
-        batch.close()
-        batch.close()
-        assert _shm_entries() <= before
-
-    def test_context_manager_unlinks(self):
-        before = _shm_entries()
-        with ShmBatch.create({"k": b"data"}) as batch:
-            name = batch.shm.name
-            assert name.lstrip("/") in _shm_entries()
-        assert _shm_entries() <= before
+        want, _ = _hashes("serial", corpus)
+        assert [canonical_hash(t) for t in invs] == want

@@ -13,7 +13,7 @@ profile in tests/conftest.py):
     (soundness *and* completeness of the canonization).
 (c) **Cache transparency** — warm-cache batches return the same
     invariants as cold ones, object-for-object, through both the memory
-    and disk layers.
+    tier and the on-disk segment-store tier.
 """
 
 from fractions import Fraction
@@ -123,18 +123,24 @@ class TestCacheTransparency:
 
     @_FEW
     @given(n=st.integers(min_value=1, max_value=5), seed=seeds)
-    def test_disk_warm_equals_cold(self, tmp_path_factory, n, seed):
+    def test_store_warm_equals_cold(self, tmp_path_factory, n, seed):
         from repro.datasets import mixed_corpus
+        from repro.store import SegmentStore
 
-        disk = tmp_path_factory.mktemp("invcache")
+        root = tmp_path_factory.mktemp("invstore")
         corpus = mixed_corpus(n, seed=seed)
-        cold = InvariantPipeline(disk_cache_dir=disk).compute_batch(corpus)
-        warm_pipe = InvariantPipeline(disk_cache_dir=disk)
-        warm = warm_pipe.compute_batch(corpus)
+        with SegmentStore(root) as store:
+            cold = InvariantPipeline(store=store).compute_batch(corpus)
+        # A fresh pipeline over the reopened store: nothing in memory,
+        # every invariant read back from the segments.
+        with SegmentStore(root) as store:
+            warm_pipe = InvariantPipeline(store=store)
+            warm = warm_pipe.compute_batch(corpus)
         assert warm_pipe.stats.invariants_computed == 0
         for tc, tw in zip(cold, warm):
-            # Disk entries round-trip through JSON: same cells, same
-            # relations, equal (and canonically equal) invariants.
+            # Store records round-trip through the binary codec: same
+            # cells, same relations, equal (and canonically equal)
+            # invariants.
             assert tc.all_cells() == tw.all_cells()
             assert tc.incidences == tw.incidences
             assert tc.orientation == tw.orientation

@@ -551,11 +551,12 @@ class TestChaosProperty:
     )
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_any_fault_schedule_is_correct_or_structured(self, seed):
-        """Under any seeded schedule of crashes, hangs, raises, and
-        cache corruption: every ok outcome is the bit-identical
-        invariant, every failure is a structured ComputeError, and the
-        batch terminates."""
+        """Under any seeded schedule of crashes, hangs and raises:
+        every ok outcome is the bit-identical invariant, every failure
+        is a structured ComputeError, and the batch terminates."""
         import tempfile
+
+        from repro.store import SegmentStore
 
         insts = _corpus(3)
         keys = [instance_key(i) for i in insts]
@@ -565,12 +566,11 @@ class TestChaosProperty:
         plan = FaultPlan.seeded(
             seed, keys, faults=4, max_times=2, hang_seconds=0.01
         )
-        with tempfile.TemporaryDirectory() as disk:
-            pipe = InvariantPipeline(
-                backend="threads", workers=2, disk_cache_dir=disk,
+        with tempfile.TemporaryDirectory() as root:
+            with SegmentStore(root) as store, InvariantPipeline(
+                backend="threads", workers=2, store=store,
                 retry=_policy(max_attempts=2),
-            )
-            with pipe:
+            ) as pipe:
                 with inject(plan):
                     res = pipe.compute_batch(insts, on_error="collect")
                 for out in res:
@@ -580,11 +580,13 @@ class TestChaosProperty:
                         assert isinstance(out.error, ComputeError)
                         assert out.error.key == out.key
                         assert out.attempts >= 1
-            # A fresh pipeline over the same (possibly corrupted) disk
-            # cache must still produce correct invariants: integrity
-            # checking turns corruption into recomputation, never into
-            # a wrong answer.
-            with InvariantPipeline(disk_cache_dir=disk) as fresh:
+            # A fresh pipeline over the reopened store must still
+            # produce correct invariants: whatever the faulted batch
+            # did or did not persist, a store read or a recompute fills
+            # the gaps, never a wrong answer.
+            with SegmentStore(root) as store, InvariantPipeline(
+                store=store
+            ) as fresh:
                 healed = fresh.compute_batch(insts)
                 assert [canonical_hash(t) for t in healed] == [
                     reference[k] for k in keys

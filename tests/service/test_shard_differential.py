@@ -107,18 +107,25 @@ class TestShardDifferentialAnswers:
                 for name, q in cell_jobs:
                     served = await single.ask_cells(name, q, engine=engine)
                     assert served.value == cell_ref[(name, q)], (name, q)
-            for shards in SHARD_COUNTS:
-                async with _sharded(shards) as svc:
-                    for name, q in cell_jobs:
-                        served = await svc.ask_cells(name, q, engine=engine)
-                        assert served.value == cell_ref[(name, q)], (
-                            shards, name, q, engine,
-                        )
-                    for name, q in rect_jobs:
-                        served = await svc.ask_rect(name, q, engine=engine)
-                        assert served.value == rect_ref[(name, q)], (
-                            shards, name, q, engine,
-                        )
+            # The shard counts run concurrently, so their worker
+            # processes share the cores whichever shard the hash ring
+            # routes each instance to.
+            await asyncio.gather(
+                *(check_sharded(shards) for shards in SHARD_COUNTS)
+            )
+
+        async def check_sharded(shards):
+            async with _sharded(shards) as svc:
+                for name, q in cell_jobs:
+                    served = await svc.ask_cells(name, q, engine=engine)
+                    assert served.value == cell_ref[(name, q)], (
+                        shards, name, q, engine,
+                    )
+                for name, q in rect_jobs:
+                    served = await svc.ask_rect(name, q, engine=engine)
+                    assert served.value == rect_ref[(name, q)], (
+                        shards, name, q, engine,
+                    )
 
         asyncio.run(main())
 

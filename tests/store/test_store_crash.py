@@ -1,5 +1,5 @@
 """Crash safety: torn appends under seeded fault schedules, external
-truncation, and the differential store == cold == disk-cache property."""
+truncation, and the differential store == cold == cache-read property."""
 
 import os
 import random
@@ -145,24 +145,28 @@ class TestExternalTruncation:
 
 class TestDifferentialProperty:
     """A store-loaded invariant is canonically bit-identical to the
-    cold-computed one and to a disk-cache round trip — including when a
-    seeded fault schedule tears appends along the way."""
+    cold-computed one and to a read through the invariant cache's store
+    tier — including when a seeded fault schedule tears appends along
+    the way."""
 
     def test_three_way_agreement(self, tmp_path):
         corpus = _corpus(8, seed=4)
         store = SegmentStore(tmp_path / "seg")
-        cache = InvariantCache(disk_dir=tmp_path / "disk")
+        cache = InvariantCache(store=SegmentStore(tmp_path / "cache"))
         for key, inst, t in corpus:
             store.put(key, t, instance=inst)
             cache.put(key, t)
         store.close()
+        cache.store.close()
         fresh_store = SegmentStore(tmp_path / "seg")
-        fresh_cache = InvariantCache(disk_dir=tmp_path / "disk")
+        fresh_cache = InvariantCache(store=SegmentStore(tmp_path / "cache"))
         for key, inst, t in corpus:
             cold = canonical_hash(invariant(inst))
             assert canonical_hash(fresh_store.get(key)) == cold
             assert canonical_hash(fresh_cache.get(key)) == cold
+        assert fresh_cache.store_hits == len(corpus)
         fresh_store.close()
+        fresh_cache.store.close()
 
     @pytest.mark.parametrize("seed", [11, 23, 47])
     def test_agreement_under_seeded_fault_schedules(self, tmp_path, seed):
